@@ -378,12 +378,37 @@ mod tests {
         let st = sample();
         let batch = st.to_batch();
         assert_eq!(batch.num_rows(), st.num_rows());
-        assert_eq!(batch.num_columns(), st.schema().arity());
-        let rows = batch.to_records().unwrap();
+        let mut rows = Vec::new();
+        batch.append_records_to(&mut rows);
         let direct: Vec<Record> = st.records().collect();
         assert_eq!(rows, direct, "batch path must reproduce the row path");
         let empty = SubTable::empty(SubTableId::new(0u32, 9u32), schema());
         assert!(empty.to_batch().is_empty());
+    }
+
+    #[test]
+    fn to_batch_materialization_is_bit_exact() {
+        let cols = vec![
+            vec![Value::I32(0), Value::I32(1), Value::I32(2)],
+            vec![Value::I32(5), Value::I32(6), Value::I32(7)],
+            vec![
+                Value::F32(-0.0),
+                Value::F32(f32::NAN),
+                Value::F32(-f32::NAN),
+            ],
+        ];
+        let st = SubTable::from_columns(SubTableId::new(0u32, 0u32), schema(), cols).unwrap();
+        let mut rows = Vec::new();
+        st.to_batch().append_records_to(&mut rows);
+        // Bit patterns (NaN payload and sign, -0.0) must survive the
+        // columnar round trip, not just Value equality.
+        for (got, want) in rows.iter().zip(st.column(2)) {
+            let (Value::F32(g), Value::F32(w)) = (got.get(2), *want) else {
+                panic!("column type changed in the round trip");
+            };
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+        assert_eq!(rows.len(), 3);
     }
 
     #[test]

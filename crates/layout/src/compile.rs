@@ -41,7 +41,7 @@ impl CompiledLayout {
         let mut walk = Vec::new();
         let mut off = 0usize;
         for item in &desc.items {
-            match item {
+            let width = match item {
                 Item::Field { name, dtype } => {
                     walk.push((off, dtype.width(), Some(fields.len())));
                     fields.push(FieldSlot {
@@ -49,13 +49,21 @@ impl CompiledLayout {
                         dtype: *dtype,
                         offset: off,
                     });
-                    off += dtype.width();
+                    dtype.width()
                 }
                 Item::Pad(n) => {
                     walk.push((off, *n, None));
-                    off += n;
+                    *n
                 }
-            }
+            };
+            // The offsets come from untrusted layout text: a huge `pad`
+            // must be a typed error, not a wrapped (or panicking) stride.
+            off = off.checked_add(width).ok_or_else(|| {
+                Error::Format(format!(
+                    "layout `{}` record stride overflows usize",
+                    desc.name
+                ))
+            })?;
         }
         Ok(CompiledLayout {
             name: desc.name.clone(),
@@ -334,5 +342,12 @@ mod tests {
         let bytes = c.encode(&cols).unwrap();
         assert_eq!(bytes.len(), 2 * (4 + 2 + 4));
         assert_eq!(c.decode(&bytes).unwrap(), cols);
+    }
+
+    #[test]
+    fn overflowing_stride_is_a_format_error() {
+        let desc = parse_layout("layout t { pad 18446744073709551615; field x: i32; }").unwrap();
+        let err = CompiledLayout::compile(&desc).unwrap_err();
+        assert!(matches!(err, Error::Format(_)), "{err}");
     }
 }

@@ -14,6 +14,6 @@ pub mod service;
 
 pub use catalog::{Catalog, TableEntry};
 pub use persist::CatalogSnapshot;
-pub use placement::{Placement, PlacementMap};
+pub use placement::Placement;
 pub use rtree::{RTree, Rect};
 pub use service::MetadataService;

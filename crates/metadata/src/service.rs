@@ -225,19 +225,6 @@ impl MetadataService {
         c("join_index_misses", &self.counters.join_index_misses);
     }
 
-    /// Materialize a replicated shard placement over every chunk in the
-    /// catalog: the federation router's routing table.
-    pub fn build_placement(
-        &self,
-        shards: usize,
-        replication: usize,
-        seed: u64,
-    ) -> Result<(crate::Placement, crate::PlacementMap)> {
-        let placement = crate::Placement::new(shards, replication, seed)?;
-        let map = crate::PlacementMap::build(&placement, self)?;
-        Ok((placement, map))
-    }
-
     /// Fetch a join index or fail with a descriptive error.
     pub fn require_join_index(
         &self,

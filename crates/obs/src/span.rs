@@ -190,11 +190,6 @@ pub struct SpanTimer {
 }
 
 impl SpanTimer {
-    /// A timer that records nothing (for plumbing through optional paths).
-    pub fn noop() -> Self {
-        SpanTimer { state: None }
-    }
-
     /// Start a child span `name` under this span's path.
     pub fn child(&self, name: &str) -> SpanTimer {
         SpanTimer {

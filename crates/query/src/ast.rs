@@ -60,6 +60,16 @@ impl Query {
             && self.order_by.is_empty()
             && self.limit.is_none()
     }
+
+    /// True if the select list aggregates or the query groups: its
+    /// answer comes from the aggregate operator, not a projection.
+    pub(crate) fn aggregates(&self) -> bool {
+        !self.group_by.is_empty()
+            || self
+                .select
+                .iter()
+                .any(|i| matches!(i, SelectItem::Aggregate(..)))
+    }
 }
 
 /// An item of the select list.

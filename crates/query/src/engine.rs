@@ -1,9 +1,8 @@
 //! The query engine: DDS registry + statement execution.
 
-use crate::ast::{predicates_to_bbox, Query, SelectItem, Statement, ViewDef};
+use crate::ast::{predicates_to_bbox, Query, Statement, ViewDef};
 use crate::exec::{
-    aggregate, column_names, filter_rows, order_and_limit, project, rows_checksum,
-    scan_cancellable, scan_chunks, RowSet,
+    column_names, filter_rows, range_chunks, rows_checksum, scan_chunks, select_tail, RowSet,
 };
 use crate::parser::parse_statement;
 use crate::plan::{PlanExplain, Planner};
@@ -89,10 +88,20 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    fn empty() -> Self {
-        QueryResult {
+    pub(crate) fn empty() -> Self {
+        RowSet {
             columns: Vec::new(),
             rows: Vec::new(),
+        }
+        .into()
+    }
+}
+
+impl From<RowSet> for QueryResult {
+    fn from(rowset: RowSet) -> Self {
+        QueryResult {
+            columns: rowset.columns,
+            rows: rowset.rows,
             explain: None,
             chunk_runs: None,
             checksum: None,
@@ -187,14 +196,6 @@ impl QueryEngine {
         &self.obs
     }
 
-    /// Use a specific cluster description for planning.
-    pub fn with_cluster(mut self, spec: ClusterSpec) -> Self {
-        self.n_compute = spec.n_compute;
-        self.cache = Arc::new(CacheService::new(self.n_compute, self.cache_capacity));
-        self.planner = Planner::new(spec);
-        self
-    }
-
     /// Resize the Caching Service (bytes per compute node).
     pub fn with_cache_capacity(mut self, bytes: u64) -> Self {
         self.cache_capacity = bytes;
@@ -211,12 +212,6 @@ impl QueryEngine {
     /// concurrent queries).
     pub fn shared_cache(&self) -> Arc<CacheService> {
         Arc::clone(&self.cache)
-    }
-
-    /// Override the planner (e.g. calibrated γ values).
-    pub fn with_planner(mut self, planner: Planner) -> Self {
-        self.planner = planner;
-        self
     }
 
     /// Attach a fault injector: every join this engine runs draws faults
@@ -347,21 +342,18 @@ impl QueryEngine {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::none(),
         };
-        self.execute_cancellable(sql, &cancel)
+        self.execute_traced(sql, &cancel, None)
     }
 
-    /// [`QueryEngine::execute`] observing a caller-owned [`CancelToken`]:
-    /// the token is threaded through scans, both QES runtimes, retry
+    /// [`QueryEngine::execute`] observing a caller-owned [`CancelToken`]
+    /// and carrying an optional propagated [`TraceId`].
+    ///
+    /// The token is threaded through scans, both QES runtimes, retry
     /// backoff and throttle sleeps, so cancelling it (or passing its
     /// deadline) unwinds the statement within one sleep slice with a
-    /// typed [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
-    pub fn execute_cancellable(&self, sql: &str, cancel: &CancelToken) -> Result<QueryResult> {
-        self.execute_traced(sql, cancel, None)
-    }
-
-    /// [`QueryEngine::execute_cancellable`] carrying a propagated
-    /// [`TraceId`]: planning decisions (`qes_choice`, `qes_failover`) are
-    /// tagged with it so the events of one query stitch into its trace.
+    /// typed [`Error::Cancelled`] / [`Error::DeadlineExceeded`]. Planning
+    /// decisions (`qes_choice`, `qes_failover`) are tagged with the trace
+    /// so the events of one query stitch into its trace.
     pub fn execute_traced(
         &self,
         sql: &str,
@@ -527,9 +519,13 @@ impl QueryEngine {
             let rows = filter_rows(&inner.columns, inner.rows, &query.predicates)?;
             return Ok((inner.columns, rows, inner.explain));
         }
-        // Basic Data Source scan with R-tree range pushdown.
-        let table = self.deployment.metadata().table_id(&query.from)?;
-        let (schema, rows) = scan_cancellable(&self.deployment, table, range.as_ref(), cancel)?;
+        // Basic Data Source scan with R-tree range pushdown: the same
+        // chunk scan a federation shard runs, over every matching chunk.
+        let md = self.deployment.metadata();
+        let table = md.table_id(&query.from)?;
+        let chunks = range_chunks(md, table, range.as_ref())?;
+        let (schema, rows, _) =
+            scan_chunks(&self.deployment, table, &chunks, range.as_ref(), cancel)?;
         Ok((column_names(&schema), rows, None))
     }
 
@@ -681,23 +677,10 @@ impl QueryEngine {
         cancel: &CancelToken,
         trace: Option<TraceId>,
     ) -> Result<QueryResult> {
-        let has_agg = query
-            .select
-            .iter()
-            .any(|i| matches!(i, SelectItem::Aggregate(..)));
         let (columns, rows, explain) = self.resolve_source(query, cancel, trace)?;
-        let rowset: RowSet = if has_agg || !query.group_by.is_empty() {
-            aggregate(&columns, rows, &query.select, &query.group_by)?
-        } else {
-            project(&columns, rows, &query.select)?
-        };
-        let rowset = order_and_limit(rowset, &query.order_by, query.limit)?;
         Ok(QueryResult {
-            columns: rowset.columns,
-            rows: rowset.rows,
             explain,
-            chunk_runs: None,
-            checksum: None,
+            ..select_tail(&columns, vec![rows], query)?.into()
         })
     }
 }
@@ -1061,7 +1044,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let err = e
-            .execute_cancellable("SELECT * FROM t1 JOIN t2 ON (x, y, z)", &cancel)
+            .execute_traced("SELECT * FROM t1 JOIN t2 ON (x, y, z)", &cancel, None)
             .unwrap_err();
         assert!(matches!(err, Error::Cancelled), "{err}");
     }

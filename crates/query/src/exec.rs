@@ -3,15 +3,20 @@
 //! Range scans resolve chunk ids through the MetaData service's R-tree
 //! ("the MetaData Service may be queried using the range part of the query
 //! to retrieve ids of all matching sub-tables"), then ask the owning BDS
-//! instances for the sub-tables.
+//! instances for the sub-tables. [`scan_chunks`] is the one runtime scan:
+//! a standalone engine hands it the R-tree's whole chunk list, a
+//! federation shard the chunks routed to it. `select_tail` is the one
+//! aggregate/project/order/limit tail both callers finish with.
 
 use crate::agg::Accumulator;
-use crate::ast::{AggFunc, RangePred, SelectItem};
+use crate::ast::{AggFunc, Query, RangePred, SelectItem};
 use orv_bds::{BdsService, Deployment};
 use orv_cluster::{CancelToken, FaultInjector};
+use orv_metadata::MetadataService;
 use orv_obs::{EventLog, Spans};
 use orv_types::{
-    BoundingBox, ColumnBatch, Error, Interval, Record, Result, Schema, SubTableId, TableId, Value,
+    BoundingBox, ChunkId, ColumnBatch, Error, Interval, Record, Result, Schema, SubTableId,
+    TableId, Value,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,15 +28,6 @@ pub struct RowSet {
     pub columns: Vec<String>,
     /// The rows.
     pub rows: Vec<Record>,
-}
-
-/// Range scan of a base table with R-tree chunk pruning and row filtering.
-pub fn scan(
-    deployment: &Deployment,
-    table: TableId,
-    range: Option<&BoundingBox>,
-) -> Result<(Arc<Schema>, Vec<Record>)> {
-    scan_cancellable(deployment, table, range, &CancelToken::none())
 }
 
 /// Resolve `range` against a schema: `(column index, interval)` checks
@@ -59,72 +55,31 @@ pub fn filter_batch_range(batch: &ColumnBatch, checks: &[(usize, Interval)]) -> 
     batch.gather(&keep)
 }
 
-/// [`scan`] in columnar form: R-tree chunk pruning, then one typed
-/// [`ColumnBatch`] per surviving chunk with the range filter applied as
-/// primitive-array loops. This is the head of the batch execution path;
-/// rows are materialized from these batches only at the service edge
-/// ([`batches_to_rows`]).
-pub fn scan_batches(
-    deployment: &Deployment,
-    table: TableId,
-    range: Option<&BoundingBox>,
-    cancel: &CancelToken,
-) -> Result<(Arc<Schema>, Vec<ColumnBatch>)> {
-    let md = deployment.metadata();
-    let schema = md.schema(table)?;
-    let chunk_ids = match range {
-        Some(rg) => md.find_chunks(table, rg)?,
-        None => md.all_chunks(table)?,
-    };
-    let checks = range
-        .map(|rg| range_checks(&schema, rg))
-        .unwrap_or_default();
-    let services = BdsService::for_all_nodes_with_instruments(
-        deployment,
-        FaultInjector::disabled(),
-        Spans::disabled(),
-        EventLog::disabled(),
-        cancel.clone(),
-    )?;
-    let mut batches = Vec::with_capacity(chunk_ids.len());
-    for chunk in chunk_ids {
-        cancel.check()?;
-        let id = SubTableId { table, chunk };
-        let node = md.chunk_meta(id)?.node;
-        let st = services[node.index()].subtable(id)?;
-        batches.push(filter_batch_range(&st.to_batch(), &checks));
-    }
-    Ok((schema, batches))
-}
-
 /// The service-edge conversion: materialize a run of batches into rows.
 pub fn batches_to_rows(batches: &[ColumnBatch]) -> Result<Vec<Record>> {
     let mut rows = Vec::with_capacity(batches.iter().map(|b| b.num_rows()).sum());
     for b in batches {
-        b.append_records_to(&mut rows)?;
+        b.append_records_to(&mut rows);
     }
     Ok(rows)
 }
 
-/// [`scan`] observing a [`CancelToken`]: the token is checked between
-/// chunks and inside every BDS read, so a cancelled query stops within
-/// one chunk fetch. Internally columnar ([`scan_batches`]); the rows
-/// come out byte-identical to the legacy row path
-/// ([`scan_rows_reference`]), which the differential oracle tier
-/// asserts.
-pub fn scan_cancellable(
-    deployment: &Deployment,
+/// The chunks of `table` a query over `range` must read: the R-tree's
+/// matches, or every chunk when the query has no range. Ascending.
+pub(crate) fn range_chunks(
+    md: &MetadataService,
     table: TableId,
     range: Option<&BoundingBox>,
-    cancel: &CancelToken,
-) -> Result<(Arc<Schema>, Vec<Record>)> {
-    let (schema, batches) = scan_batches(deployment, table, range, cancel)?;
-    Ok((schema, batches_to_rows(&batches)?))
+) -> Result<Vec<ChunkId>> {
+    match range {
+        Some(rg) => md.find_chunks(table, rg),
+        None => md.all_chunks(table),
+    }
 }
 
 /// The legacy row-at-a-time scan, kept as the differential oracle for
-/// the batch path: every query shape must produce byte-identical rows
-/// through [`scan_batches`] + [`batches_to_rows`] and through this.
+/// [`scan_chunks`]: every query shape must produce byte-identical rows
+/// through both.
 pub fn scan_rows_reference(
     deployment: &Deployment,
     table: TableId,
@@ -160,17 +115,18 @@ pub fn scan_rows_reference(
 
 /// A shard-side chunk scan: the schema, the rows, and per-chunk run
 /// lengths `(chunk, rows)` in scan order.
-pub type ChunkScan = (Arc<Schema>, Vec<Record>, Vec<(orv_types::ChunkId, usize)>);
+pub type ChunkScan = (Arc<Schema>, Vec<Record>, Vec<(ChunkId, usize)>);
 
 /// Scan an explicit chunk list of one table, in ascending chunk order,
 /// returning the rows plus per-chunk run lengths `(chunk, rows)` in scan
-/// order. This is the federation shard's sub-query primitive: the router
-/// needs the run boundaries to dedup and reassemble partial results
-/// chunk-by-chunk.
+/// order. The federation router needs the run boundaries to dedup and
+/// reassemble partial results chunk-by-chunk; a standalone engine
+/// ignores them. The token is checked between chunks and inside every
+/// BDS read, so a cancelled scan stops within one chunk fetch.
 pub fn scan_chunks(
     deployment: &Deployment,
     table: TableId,
-    chunks: &[orv_types::ChunkId],
+    chunks: &[ChunkId],
     range: Option<&BoundingBox>,
     cancel: &CancelToken,
 ) -> Result<ChunkScan> {
@@ -199,7 +155,7 @@ pub fn scan_chunks(
         // Columnar per chunk; the run boundary is the batch row count,
         // rows materialize straight into the shard response buffer.
         let batch = filter_batch_range(&st.to_batch(), &checks);
-        batch.append_records_to(&mut rows)?;
+        batch.append_records_to(&mut rows);
         runs.push((chunk, batch.num_rows()));
     }
     Ok((schema, rows, runs))
@@ -222,6 +178,31 @@ pub fn rows_checksum(rows: &[Record]) -> u32 {
 /// Column names of a schema.
 pub fn column_names(schema: &Schema) -> Vec<String> {
     schema.attrs().iter().map(|a| a.name.clone()).collect()
+}
+
+/// The select tail shared by the engine and the federation router:
+/// aggregate `parts` (re-aggregating across them, [`merge_aggregate`])
+/// when the query aggregates or groups, otherwise project their
+/// concatenation; then order and limit. The engine passes one part, the
+/// router one part per chunk.
+pub(crate) fn select_tail(
+    columns: &[String],
+    mut parts: Vec<Vec<Record>>,
+    query: &Query,
+) -> Result<RowSet> {
+    let rowset = if query.aggregates() {
+        merge_aggregate(columns, parts, &query.select, &query.group_by)?
+    } else {
+        let rows = if parts.len() == 1 {
+            parts.pop().unwrap_or_default()
+        } else {
+            let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+            parts.into_iter().for_each(|p| rows.extend(p));
+            rows
+        };
+        project(columns, rows, &query.select)?
+    };
+    order_and_limit(rowset, &query.order_by, query.limit)
 }
 
 /// Sort by output columns (stable; `(name, descending)` pairs applied in
@@ -469,6 +450,16 @@ mod tests {
     use orv_bds::{generate_dataset, DatasetSpec};
     use orv_types::Interval;
 
+    fn rows_of(
+        d: &Deployment,
+        t: TableId,
+        range: Option<&BoundingBox>,
+    ) -> (Arc<Schema>, Vec<Record>) {
+        let chunks = range_chunks(d.metadata(), t, range).unwrap();
+        let (schema, rows, _) = scan_chunks(d, t, &chunks, range, &CancelToken::none()).unwrap();
+        (schema, rows)
+    }
+
     fn deployed() -> (Deployment, TableId) {
         let d = Deployment::in_memory(2);
         let h = generate_dataset(
@@ -491,17 +482,17 @@ mod tests {
             ("x", Interval::new(0.0, 1.0)),
             ("y", Interval::new(0.0, 1.0)),
         ]);
-        let (schema, rows) = scan(&d, t, Some(&range)).unwrap();
+        let (schema, rows) = rows_of(&d, t, Some(&range));
         assert_eq!(schema.arity(), 4);
         assert_eq!(rows.len(), 8); // 2×2×2 points
-        let (_, all) = scan(&d, t, None).unwrap();
+        let (_, all) = rows_of(&d, t, None);
         assert_eq!(all.len(), 32);
     }
 
     #[test]
     fn project_selects_and_reorders() {
         let (d, t) = deployed();
-        let (schema, rows) = scan(&d, t, None).unwrap();
+        let (schema, rows) = rows_of(&d, t, None);
         let cols = column_names(&schema);
         let rs = project(
             &cols,
@@ -515,7 +506,7 @@ mod tests {
         assert_eq!(rs.columns, vec!["oilp", "x"]);
         assert_eq!(rs.rows[0].arity(), 2);
         // Unknown column errors.
-        let (schema, rows) = scan(&d, t, None).unwrap();
+        let (schema, rows) = rows_of(&d, t, None);
         assert!(project(
             &column_names(&schema),
             rows,
@@ -527,7 +518,7 @@ mod tests {
     #[test]
     fn grouped_aggregation() {
         let (d, t) = deployed();
-        let (schema, rows) = scan(&d, t, None).unwrap();
+        let (schema, rows) = rows_of(&d, t, None);
         let cols = column_names(&schema);
         let rs = aggregate(
             &cols,
@@ -552,7 +543,7 @@ mod tests {
     #[test]
     fn global_aggregation_without_group_by() {
         let (d, t) = deployed();
-        let (schema, rows) = scan(&d, t, None).unwrap();
+        let (schema, rows) = rows_of(&d, t, None);
         let cols = column_names(&schema);
         let rs = aggregate(
             &cols,
@@ -569,7 +560,7 @@ mod tests {
     #[test]
     fn merge_aggregate_matches_single_pass_partitioning() {
         let (d, t) = deployed();
-        let (schema, rows) = scan(&d, t, None).unwrap();
+        let (schema, rows) = rows_of(&d, t, None);
         let cols = column_names(&schema);
         let items = [
             SelectItem::Column("z".into()),
@@ -589,6 +580,28 @@ mod tests {
     }
 
     #[test]
+    fn select_tail_concatenates_parts_in_order() {
+        use crate::ast::Statement;
+        let (d, t) = deployed();
+        let (schema, rows) = rows_of(&d, t, None);
+        let cols = column_names(&schema);
+        for sql in [
+            "SELECT oilp, x FROM t1",
+            "SELECT * FROM t1 ORDER BY z DESC LIMIT 9",
+        ] {
+            let Ok(Statement::Select(q)) = crate::parser::parse_statement(sql) else {
+                panic!("{sql} must parse as a SELECT");
+            };
+            let whole = select_tail(&cols, vec![rows.clone()], &q).unwrap();
+            let mid = rows.len() / 3;
+            let parts = vec![rows[..mid].to_vec(), Vec::new(), rows[mid..].to_vec()];
+            let split = select_tail(&cols, parts, &q).unwrap();
+            assert_eq!(split.columns, whole.columns, "{sql}");
+            assert_eq!(split.rows, whole.rows, "{sql}");
+        }
+    }
+
+    #[test]
     fn scan_chunks_orders_dedups_and_accounts_runs() {
         let (d, t) = deployed();
         let md = d.metadata();
@@ -598,8 +611,11 @@ mod tests {
         chunks.reverse();
         chunks.push(all[0]);
         let (_, rows, runs) = scan_chunks(&d, t, &chunks, None, &CancelToken::none()).unwrap();
-        let (_, oracle) = scan(&d, t, None).unwrap();
-        assert_eq!(rows, oracle, "chunk-order reassembly must equal a scan");
+        let (_, oracle) = scan_rows_reference(&d, t, None, &CancelToken::none()).unwrap();
+        assert_eq!(
+            rows, oracle,
+            "chunk-order reassembly must equal the reference scan"
+        );
         assert_eq!(runs.len(), all.len());
         let run_ids: Vec<_> = runs.iter().map(|(c, _)| *c).collect();
         assert_eq!(run_ids, all, "runs must come back in ascending chunk order");
@@ -614,7 +630,7 @@ mod tests {
     #[test]
     fn plain_column_must_be_grouped() {
         let (d, t) = deployed();
-        let (schema, rows) = scan(&d, t, None).unwrap();
+        let (schema, rows) = rows_of(&d, t, None);
         let cols = column_names(&schema);
         let err = aggregate(
             &cols,

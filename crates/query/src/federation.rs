@@ -51,9 +51,9 @@
 //! single-pass value in the last floating-point bits (see
 //! [`Accumulator::merge`](crate::agg::Accumulator::merge)).
 
-use crate::ast::{predicates_to_bbox, Query, SelectItem, Statement};
+use crate::ast::{predicates_to_bbox, Query, Statement};
 use crate::engine::{QueryEngine, QueryResult, ScanSpec};
-use crate::exec::{column_names, merge_aggregate, order_and_limit, project, rows_checksum, RowSet};
+use crate::exec::{column_names, range_chunks, rows_checksum, select_tail};
 use crate::overload::BrownoutState;
 use crate::parser::parse_statement;
 use crate::service::{QueryService, QueryTicket, ServiceConfig};
@@ -545,13 +545,7 @@ impl FederatedService {
                     tb.children.extend(ticket.trace());
                     outcome?;
                 }
-                Ok(FederatedResponse::Complete(QueryResult {
-                    columns: Vec::new(),
-                    rows: Vec::new(),
-                    explain: None,
-                    chunk_runs: None,
-                    checksum: None,
-                }))
+                Ok(FederatedResponse::Complete(QueryResult::empty()))
             }
             Statement::Select(query) => {
                 let from_is_view = self.shards[0].engine().catalog().get(&query.from).is_some();
@@ -667,10 +661,7 @@ impl FederatedService {
         let range = predicates_to_bbox(&query.predicates);
         // Same R-tree consultation (and chunk order) as a single engine's
         // scan, so a complete merge is byte-identical to the oracle.
-        let chunks = match &range {
-            Some(rg) => md.find_chunks(table, rg)?,
-            None => md.all_chunks(table)?,
-        };
+        let chunks = range_chunks(md, table, range.as_ref())?;
 
         let mut tried: HashMap<ChunkId, Vec<usize>> = HashMap::new();
         let mut filled: HashMap<ChunkId, Vec<Record>> = HashMap::new();
@@ -904,30 +895,8 @@ impl FederatedService {
             Some(c) => c,
             None => column_names(md.schema(table)?.as_ref()),
         };
-        let has_agg = query
-            .select
-            .iter()
-            .any(|i| matches!(i, SelectItem::Aggregate(..)));
-        let rowset: RowSet = if has_agg || !query.group_by.is_empty() {
-            let parts: Vec<Vec<Record>> = chunks.iter().filter_map(|c| filled.remove(c)).collect();
-            merge_aggregate(&columns, parts, &query.select, &query.group_by)?
-        } else {
-            let mut rows = Vec::new();
-            for c in &chunks {
-                if let Some(r) = filled.remove(c) {
-                    rows.extend(r);
-                }
-            }
-            project(&columns, rows, &query.select)?
-        };
-        let rowset = order_and_limit(rowset, &query.order_by, query.limit)?;
-        let result = QueryResult {
-            columns: rowset.columns,
-            rows: rowset.rows,
-            explain: None,
-            chunk_runs: None,
-            checksum: None,
-        };
+        let parts: Vec<Vec<Record>> = chunks.iter().filter_map(|c| filled.remove(c)).collect();
+        let result: QueryResult = select_tail(&columns, parts, query)?.into();
         let merge_secs = merge_sw.elapsed_secs();
         self.obs
             .metrics

@@ -623,13 +623,9 @@ impl QueryService {
         self.submit_task(Task::Sql(sql.to_string()), cancel, Some(parent))
     }
 
-    /// Submit a pre-planned chunk scan (the federation router's sub-query
-    /// path): same queue, admission control and cancellation as SQL.
-    pub fn submit_scan(&self, spec: ScanSpec, cancel: CancelToken) -> Result<QueryTicket> {
-        self.submit_task(Task::Scan(spec), cancel, None)
-    }
-
-    /// [`QueryService::submit_scan`] as a sub-query of `parent`.
+    /// Submit a pre-planned chunk scan as a sub-query of `parent` (the
+    /// federation router's path): same queue, admission control and
+    /// cancellation as SQL.
     pub fn submit_scan_traced(
         &self,
         spec: ScanSpec,

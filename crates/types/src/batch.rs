@@ -1,66 +1,17 @@
 //! Columnar execution batches.
 //!
 //! A [`ColumnBatch`] holds a run of rows as fixed-width typed arrays —
-//! one primitive `Vec` per attribute plus a null bitmap — instead of a
-//! `Vec<Record>` of boxed [`Value`] rows. Scans, range filters,
-//! projections and hash-join key gathering become tight loops over
-//! primitive slices (no per-row allocation, no enum dispatch in the
-//! inner loop); rows are materialized back into [`Record`]s only at the
-//! service edge, and the conversion is bit-exact in both directions
-//! (every supported type is fixed-width; float bit patterns, including
-//! NaNs and `-0.0`, survive the round trip untouched).
-//!
-//! The null bitmap exists for forward compatibility with sparse
-//! scientific datasets: the current ingest path never produces nulls
-//! (a [`Value`] cannot be null), so [`ColumnBatch::to_records`] refuses
-//! batches with nulls rather than invent a sentinel.
+//! one primitive `Vec` per attribute — instead of a `Vec<Record>` of
+//! boxed [`Value`] rows. The scan's range filter runs as tight loops over
+//! primitive slices (no per-row allocation, no enum dispatch in the inner
+//! loop); rows are materialized back into [`Record`]s at the service
+//! edge, and the conversion is bit-exact (every supported type is
+//! fixed-width; float bit patterns, including NaNs and `-0.0`, survive
+//! untouched).
 
 use crate::error::{Error, Result};
 use crate::record::Record;
 use crate::value::{DataType, Value};
-
-/// A per-column validity bitmap: bit set ⇒ the row is null.
-///
-/// Allocated lazily — batches built from [`Value`]s never allocate one.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NullBitmap {
-    words: Vec<u64>,
-}
-
-impl NullBitmap {
-    /// An empty bitmap (no nulls).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mark `row` null.
-    pub fn set_null(&mut self, row: usize) {
-        let word = row / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1u64 << (row % 64);
-    }
-
-    /// Is `row` null?
-    #[inline]
-    pub fn is_null(&self, row: usize) -> bool {
-        self.words
-            .get(row / 64)
-            .is_some_and(|w| w & (1u64 << (row % 64)) != 0)
-    }
-
-    /// Number of null rows recorded.
-    pub fn null_count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no row is null.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-}
 
 /// One attribute's values as a primitive array.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,11 +27,6 @@ pub enum ColumnData {
 }
 
 impl ColumnData {
-    /// An empty column of type `ty`.
-    pub fn new(ty: DataType) -> Self {
-        Self::with_capacity(ty, 0)
-    }
-
     /// An empty column of type `ty` with room for `cap` rows.
     pub fn with_capacity(ty: DataType, cap: usize) -> Self {
         match ty {
@@ -104,19 +50,13 @@ impl ColumnData {
 
     /// Number of rows.
     #[inline]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             ColumnData::I32(v) => v.len(),
             ColumnData::I64(v) => v.len(),
             ColumnData::F32(v) => v.len(),
             ColumnData::F64(v) => v.len(),
         }
-    }
-
-    /// True when the column has no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Append `v`, type-checked against the column.
@@ -159,17 +99,6 @@ impl ColumnData {
         }
     }
 
-    /// Append each row's canonical 8-byte join key ([`Value::key_bits`])
-    /// to `out` — the hash-join key gather, one typed loop per column.
-    pub fn key_bits_into(&self, out: &mut Vec<u64>) {
-        match self {
-            ColumnData::I32(v) => out.extend(v.iter().map(|&x| Value::I32(x).key_bits())),
-            ColumnData::I64(v) => out.extend(v.iter().map(|&x| Value::I64(x).key_bits())),
-            ColumnData::F32(v) => out.extend(v.iter().map(|&x| Value::F32(x).key_bits())),
-            ColumnData::F64(v) => out.extend(v.iter().map(|&x| Value::F64(x).key_bits())),
-        }
-    }
-
     /// A new column holding the rows at `keep`, in order.
     pub fn gather(&self, keep: &[u32]) -> ColumnData {
         match self {
@@ -181,28 +110,21 @@ impl ColumnData {
     }
 }
 
-/// A run of rows in columnar form: typed arrays plus per-column null
-/// bitmaps, equal row counts across columns.
+/// A run of rows in columnar form: typed arrays with equal row counts
+/// across columns.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ColumnBatch {
     columns: Vec<ColumnData>,
-    nulls: Vec<NullBitmap>,
 }
 
 impl ColumnBatch {
     /// An empty batch with the given column types.
     pub fn new(types: &[DataType]) -> Self {
-        Self::with_capacity(types, 0)
-    }
-
-    /// An empty batch with room for `cap` rows per column.
-    pub fn with_capacity(types: &[DataType], cap: usize) -> Self {
         ColumnBatch {
             columns: types
                 .iter()
-                .map(|&t| ColumnData::with_capacity(t, cap))
+                .map(|&t| ColumnData::with_capacity(t, 0))
                 .collect(),
-            nulls: vec![NullBitmap::new(); types.len()],
         }
     }
 
@@ -215,32 +137,7 @@ impl ColumnBatch {
                 c.len()
             )));
         }
-        let nulls = vec![NullBitmap::new(); columns.len()];
-        Ok(ColumnBatch { columns, nulls })
-    }
-
-    /// Build from row records, type-checked against `types`.
-    pub fn from_records(types: &[DataType], records: &[Record]) -> Result<Self> {
-        let mut batch = Self::with_capacity(types, records.len());
-        for r in records {
-            batch.push_record(r)?;
-        }
-        Ok(batch)
-    }
-
-    /// Append one row.
-    pub fn push_record(&mut self, r: &Record) -> Result<()> {
-        if r.arity() != self.columns.len() {
-            return Err(Error::Schema(format!(
-                "record of arity {} pushed into batch of {} columns",
-                r.arity(),
-                self.columns.len()
-            )));
-        }
-        for (col, &v) in self.columns.iter_mut().zip(r.values()) {
-            col.push(v)?;
-        }
-        Ok(())
+        Ok(ColumnBatch { columns })
     }
 
     /// Number of rows.
@@ -249,21 +146,10 @@ impl ColumnBatch {
         self.columns.first().map(|c| c.len()).unwrap_or(0)
     }
 
-    /// Number of columns.
-    #[inline]
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-
     /// True when the batch has no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.num_rows() == 0
-    }
-
-    /// The column types, in order.
-    pub fn dtypes(&self) -> Vec<DataType> {
-        self.columns.iter().map(|c| c.dtype()).collect()
     }
 
     /// Column `idx`.
@@ -272,81 +158,15 @@ impl ColumnBatch {
         &self.columns[idx]
     }
 
-    /// Column `idx`'s null bitmap.
-    #[inline]
-    pub fn nulls(&self, idx: usize) -> &NullBitmap {
-        &self.nulls[idx]
-    }
-
-    /// Mark `(row, col)` null.
-    pub fn set_null(&mut self, row: usize, col: usize) {
-        self.nulls[col].set_null(row);
-    }
-
-    /// Total nulls across all columns.
-    pub fn null_count(&self) -> usize {
-        self.nulls.iter().map(|n| n.null_count()).sum()
-    }
-
-    /// The value at `(row, col)`; `None` when null.
-    #[inline]
-    pub fn value(&self, row: usize, col: usize) -> Option<Value> {
-        if self.nulls[col].is_null(row) {
-            None
-        } else {
-            Some(self.columns[col].value(row))
-        }
-    }
-
-    /// Materialize row `row` as a [`Record`]. Errors on nulls — a
-    /// [`Value`] cannot represent null, and inventing a sentinel would
-    /// silently corrupt checksums.
-    pub fn record(&self, row: usize) -> Result<Record> {
-        let mut vals = Vec::with_capacity(self.columns.len());
-        for (ci, col) in self.columns.iter().enumerate() {
-            if self.nulls[ci].is_null(row) {
-                return Err(Error::Schema(format!(
-                    "row {row} column {ci} is null; records cannot hold nulls"
-                )));
-            }
-            vals.push(col.value(row));
-        }
-        Ok(Record::new(vals))
-    }
-
-    /// Materialize every row — the service-edge conversion. Bit-exact:
-    /// `ColumnBatch::from_records(t, &b.to_records()?)` reproduces `b`.
-    pub fn to_records(&self) -> Result<Vec<Record>> {
-        if self.nulls.iter().any(|n| !n.is_empty()) {
-            // Fall back to the per-row path for its error message.
-            return (0..self.num_rows()).map(|r| self.record(r)).collect();
-        }
-        let n = self.num_rows();
-        let mut rows = Vec::with_capacity(n);
-        for r in 0..n {
-            rows.push(Record::new(
-                self.columns.iter().map(|c| c.value(r)).collect(),
-            ));
-        }
-        Ok(rows)
-    }
-
-    /// Append every row of `rows` to `out` as [`Record`]s (the edge
-    /// conversion for a run of batches, avoiding intermediate vectors).
-    pub fn append_records_to(&self, out: &mut Vec<Record>) -> Result<()> {
+    /// Append every row to `out` as [`Record`]s — the service-edge
+    /// conversion, bit-exact per value.
+    pub fn append_records_to(&self, out: &mut Vec<Record>) {
         out.reserve(self.num_rows());
-        if self.nulls.iter().any(|n| !n.is_empty()) {
-            for r in 0..self.num_rows() {
-                out.push(self.record(r)?);
-            }
-            return Ok(());
-        }
         for r in 0..self.num_rows() {
             out.push(Record::new(
                 self.columns.iter().map(|c| c.value(r)).collect(),
             ));
         }
-        Ok(())
     }
 
     /// Row indices passing `predicate(row)`, as a gather list.
@@ -358,35 +178,9 @@ impl ColumnBatch {
 
     /// A new batch holding the rows at `keep`, in order.
     pub fn gather(&self, keep: &[u32]) -> ColumnBatch {
-        let columns = self.columns.iter().map(|c| c.gather(keep)).collect();
-        let mut nulls = vec![NullBitmap::new(); self.columns.len()];
-        for (ci, src) in self.nulls.iter().enumerate() {
-            if src.is_empty() {
-                continue;
-            }
-            for (dst_row, &src_row) in keep.iter().enumerate() {
-                if src.is_null(src_row as usize) {
-                    nulls[ci].set_null(dst_row);
-                }
-            }
+        ColumnBatch {
+            columns: self.columns.iter().map(|c| c.gather(keep)).collect(),
         }
-        ColumnBatch { columns, nulls }
-    }
-
-    /// A new batch with the columns at `indices`, in that order (the
-    /// columnar projection: per-column memcpy, no row rebuild).
-    pub fn project(&self, indices: &[usize]) -> Result<ColumnBatch> {
-        let mut columns = Vec::with_capacity(indices.len());
-        let mut nulls = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let col = self
-                .columns
-                .get(i)
-                .ok_or_else(|| Error::Schema(format!("batch has no column {i}")))?;
-            columns.push(col.clone());
-            nulls.push(self.nulls[i].clone());
-        }
-        Ok(ColumnBatch { columns, nulls })
     }
 }
 
@@ -404,32 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_bit_exact() {
-        let b = sample();
-        let rows = b.to_records().unwrap();
-        assert_eq!(rows.len(), 4);
-        let back = ColumnBatch::from_records(&b.dtypes(), &rows).unwrap();
-        // Bit patterns (NaN, -0.0) must survive, not just Value equality.
-        match (back.column(1), b.column(1)) {
-            (ColumnData::F32(a), ColumnData::F32(c)) => {
-                for (x, y) in a.iter().zip(c) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            _ => panic!("column type changed in round trip"),
-        }
-        assert_eq!(back.num_rows(), b.num_rows());
-    }
-
-    #[test]
     fn push_is_type_checked() {
-        let mut b = ColumnBatch::new(&[DataType::I32]);
-        assert!(b.push_record(&Record::new(vec![Value::F64(1.0)])).is_err());
-        assert!(b
-            .push_record(&Record::new(vec![Value::I32(1), Value::I32(2)]))
-            .is_err());
-        b.push_record(&Record::new(vec![Value::I32(1)])).unwrap();
-        assert_eq!(b.num_rows(), 1);
+        let mut c = ColumnData::with_capacity(DataType::I32, 1);
+        assert!(c.push(Value::F64(1.0)).is_err());
+        c.push(Value::I32(1)).unwrap();
+        assert_eq!(c.value(0), Value::I32(1));
     }
 
     #[test]
@@ -441,54 +214,25 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_project() {
+    fn mask_gather_and_materialize() {
         let b = sample();
         let keep = b.mask_to_keep(|r| b.column(0).as_f64(r) >= 1.0 && b.column(0).as_f64(r) <= 2.0);
         assert_eq!(keep, vec![1, 2]);
         let f = b.gather(&keep);
         assert_eq!(f.num_rows(), 2);
-        assert_eq!(f.value(0, 0), Some(Value::I32(1)));
-        let p = f.project(&[2, 0]).unwrap();
-        assert_eq!(p.num_columns(), 2);
-        assert_eq!(p.value(1, 0), Some(Value::F64(3.0)));
-        assert_eq!(p.value(1, 1), Some(Value::I32(2)));
-        assert!(b.project(&[9]).is_err());
-    }
-
-    #[test]
-    fn key_bits_match_value_key_bits() {
-        let b = sample();
-        for ci in 0..b.num_columns() {
-            let mut bits = Vec::new();
-            b.column(ci).key_bits_into(&mut bits);
-            for (r, &kb) in bits.iter().enumerate() {
-                assert_eq!(kb, b.column(ci).value(r).key_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn nulls_block_record_materialization_and_survive_gather() {
-        let mut b = sample();
-        b.set_null(2, 1);
-        assert_eq!(b.null_count(), 1);
-        assert_eq!(b.value(2, 1), None);
-        assert!(b.record(2).is_err());
-        assert!(b.to_records().is_err());
-        assert!(b.record(0).is_ok());
-        let g = b.gather(&[0, 2]);
-        assert!(g.nulls(1).is_null(1), "null must follow its row");
-        assert!(!g.nulls(1).is_null(0));
-        let mut out = Vec::new();
-        assert!(g.append_records_to(&mut out).is_err());
+        let mut rows = Vec::new();
+        f.append_records_to(&mut rows);
+        assert_eq!(rows[0].get(0), Value::I32(1));
+        assert_eq!(rows[1].get(2), Value::F64(3.0));
     }
 
     #[test]
     fn empty_batch_behaves() {
         let b = ColumnBatch::new(&[DataType::I64, DataType::F64]);
         assert!(b.is_empty());
-        assert_eq!(b.to_records().unwrap(), Vec::<Record>::new());
+        let mut rows = Vec::new();
+        b.append_records_to(&mut rows);
+        assert!(rows.is_empty());
         assert_eq!(b.gather(&[]).num_rows(), 0);
-        assert_eq!(b.dtypes(), vec![DataType::I64, DataType::F64]);
     }
 }

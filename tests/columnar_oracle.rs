@@ -1,13 +1,14 @@
-//! Differential oracle tier for the columnar execution path.
+//! Differential oracle tier for the runtime execution path.
 //!
-//! Every query shape — full scan, range filter, projection, IJ join,
-//! GH join, aggregation — runs through both execution paths:
+//! Every query shape — full scan, range filter, projection, ORDER BY +
+//! LIMIT, IJ join, GH join, aggregation — runs through both:
 //!
-//! - the **legacy row path** (`scan_rows_reference`, per-row `project`,
-//!   the nested-loop reference join), and
-//! - the **batch path** (`scan_batches` + typed range filters +
-//!   `ColumnBatch::project`, the columnar hash join inside both QES
-//!   implementations),
+//! - the **reference row path** (`scan_rows_reference`, rows projected
+//!   and sorted one by one in this file, the nested-loop reference
+//!   join), and
+//! - the **runtime path** (`scan_chunks` with its typed batch range
+//!   filter, the engine's and the federation router's shared select
+//!   tail, the hash join inside both QES implementations),
 //!
 //! and the results must be *byte-identical*: equal `Record`s in equal
 //! order where the path defines an order, equal as sorted multisets
@@ -26,8 +27,8 @@ use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::CancelToken;
 use orv::join::reference::{nested_loop_join, sort_records};
 use orv::join::JoinAlgorithm;
-use orv::query::{exec, QueryEngine};
-use orv::types::{BoundingBox, Interval, Record, TableId, Value};
+use orv::query::{exec, FederatedService, FederationConfig, QueryEngine};
+use orv::types::{BoundingBox, ChunkId, Interval, Record, TableId, Value};
 use proptest::prelude::*;
 
 /// SplitMix64, so every derived parameter is a pure function of the seed.
@@ -83,17 +84,34 @@ fn assert_identical(label: &str, reference: &[Record], batch: &[Record]) {
     );
 }
 
+/// `chunks` in a seeded shuffled order with a few duplicates: the
+/// runtime scan must sort and dedup them itself.
+fn shuffled_with_duplicates(rng: &mut Rng, chunks: &[ChunkId]) -> Vec<ChunkId> {
+    let mut out = chunks.to_vec();
+    for _ in 0..1 + rng.below(3) {
+        if let Some(&c) = chunks.get(rng.below(chunks.len().max(1) as u64) as usize) {
+            out.push(c);
+        }
+    }
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    out
+}
+
 /// Run every query shape through both paths for one seed.
 fn oracle_case(seed: u64) {
     let (d, t1, t2) = deploy(seed);
+    let md = d.metadata();
     let mut rng = Rng(seed ^ 0x0c01_a11e);
     let cancel = CancelToken::none();
 
     // Shape 1: full scan.
     let (schema, ref_rows) = exec::scan_rows_reference(&d, t1, None, &cancel).expect("ref scan");
-    let (_, batches) = exec::scan_batches(&d, t1, None, &cancel).expect("batch scan");
-    let batch_rows = exec::batches_to_rows(&batches).expect("edge conversion");
-    assert_identical("full scan", &ref_rows, &batch_rows);
+    let chunks = shuffled_with_duplicates(&mut rng, &md.all_chunks(t1).expect("chunks"));
+    let (_, scan_rows, _) =
+        exec::scan_chunks(&d, t1, &chunks, None, &cancel).expect("runtime scan");
+    assert_identical("full scan", &ref_rows, &scan_rows);
 
     // Shape 2: range filter (drawn window; may be empty, full, or partial;
     // also exercises an attribute bound the schema lacks → unconstrained).
@@ -108,24 +126,68 @@ fn oracle_case(seed: u64) {
     }
     let (_, ref_filtered) =
         exec::scan_rows_reference(&d, t1, Some(&range), &cancel).expect("ref filter");
-    let (_, fbatches) = exec::scan_batches(&d, t1, Some(&range), &cancel).expect("batch filter");
-    let batch_filtered = exec::batches_to_rows(&fbatches).expect("edge conversion");
-    assert_identical("range filter", &ref_filtered, &batch_filtered);
+    let chunks = shuffled_with_duplicates(&mut rng, &md.find_chunks(t1, &range).expect("chunks"));
+    let (_, scan_filtered, _) =
+        exec::scan_chunks(&d, t1, &chunks, Some(&range), &cancel).expect("runtime filter");
+    assert_identical("range filter", &ref_filtered, &scan_filtered);
 
-    // Shape 3: projection (drawn column permutation, with repeats).
-    let arity = schema.arity();
+    // Shape 3: projection (drawn column permutation, with repeats) of a
+    // drawn window, through the engine and the federation router.
+    let (x_lo, x_hi) = (rng.below(16), rng.below(16));
+    let y_hi = rng.below(16);
+    let window = format!("x IN [{x_lo}, {}] AND y IN [0, {y_hi}]", x_lo + x_hi);
+    let window_box = BoundingBox::from_dims([
+        ("x", Interval::new(x_lo as f64, (x_lo + x_hi) as f64)),
+        ("y", Interval::new(0.0, y_hi as f64)),
+    ]);
+    let (_, ref_window) =
+        exec::scan_rows_reference(&d, t1, Some(&window_box), &cancel).expect("ref window");
+    let names = exec::column_names(&schema);
     let indices: Vec<usize> = (0..1 + rng.below(4) as usize)
-        .map(|_| rng.below(arity as u64) as usize)
+        .map(|_| rng.below(schema.arity() as u64) as usize)
         .collect();
-    let ref_projected: Vec<Record> = ref_rows.iter().map(|r| r.project(&indices)).collect();
-    let batch_projected = exec::batches_to_rows(
-        &batches
-            .iter()
-            .map(|b| b.project(&indices).expect("batch project"))
-            .collect::<Vec<_>>(),
-    )
-    .expect("edge conversion");
-    assert_identical("projection", &ref_projected, &batch_projected);
+    let select: Vec<&str> = indices.iter().map(|&i| names[i].as_str()).collect();
+    let engine = QueryEngine::new(d.clone());
+    let sql = format!("SELECT {} FROM t1 WHERE {window}", select.join(", "));
+    let got = engine.execute(&sql).expect("projection query");
+    assert_eq!(got.columns, select, "{sql}");
+    let ref_projected: Vec<Record> = ref_window.iter().map(|r| r.project(&indices)).collect();
+    assert_identical(&format!("engine {sql}"), &ref_projected, &got.rows);
+    let fed = FederatedService::new(d.clone(), FederationConfig::default()).expect("federation");
+    let got = fed.execute(&sql).expect("federated projection");
+    assert!(
+        got.is_complete(),
+        "{sql}: federation must answer every chunk"
+    );
+    assert_identical(
+        &format!("federated {sql}"),
+        &ref_projected,
+        &got.result().rows,
+    );
+
+    // Shape 3b: ORDER BY + LIMIT over the same window, through both the
+    // engine and the federation router. The reference sort is stable over
+    // reference scan order, as the runtime's is over chunk order.
+    let limit = rng.below(ref_window.len() as u64 + 2) as usize;
+    let sql =
+        format!("SELECT x, y, oilp FROM t1 WHERE {window} ORDER BY oilp DESC, x LIMIT {limit}");
+    let col = |name: &str| schema.index_of(name).expect("t1 column");
+    let (x, y, oilp) = (col("x"), col("y"), col("oilp"));
+    let mut ref_sorted = ref_window.clone();
+    ref_sorted.sort_by(|a, b| b.get(oilp).cmp(&a.get(oilp)).then(a.get(x).cmp(&b.get(x))));
+    let ref_top: Vec<Record> = ref_sorted
+        .iter()
+        .take(limit)
+        .map(|r| r.project(&[x, y, oilp]))
+        .collect();
+    let got = engine.execute(&sql).expect("engine order/limit");
+    assert_identical(&format!("engine {sql}"), &ref_top, &got.rows);
+    let got = fed.execute(&sql).expect("federated order/limit");
+    assert!(
+        got.is_complete(),
+        "{sql}: federation must answer every chunk"
+    );
+    assert_identical(&format!("federated {sql}"), &ref_top, &got.result().rows);
 
     // Shapes 4 + 5: IJ and GH joins vs the nested-loop row oracle.
     // Join output order is schedule-dependent, so compare as sorted
@@ -142,14 +204,12 @@ fn oracle_case(seed: u64) {
         assert_identical(&format!("{algo} join"), &join_oracle, &got_rows);
     }
 
-    // Shape 6: aggregates — engine (batch-path scans underneath) vs
-    // values computed from the reference rows.
-    let engine = QueryEngine::new(d.clone());
+    // Shape 6: aggregates — engine (runtime scans underneath) vs values
+    // computed from the reference rows.
     let agg = engine
         .execute("SELECT COUNT(*), MIN(oilp), MAX(oilp) FROM t1")
         .expect("aggregate query");
     assert_eq!(agg.rows.len(), 1);
-    let oilp = schema.index_of("oilp").expect("oilp column");
     let expect_min = ref_rows
         .iter()
         .map(|r| r.get(oilp))
