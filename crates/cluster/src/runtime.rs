@@ -179,17 +179,25 @@ impl Scratch {
     pub fn append(&self, name: &str, data: &[u8]) -> Result<()> {
         self.written.add(data.len() as u64);
         {
+            // Look the bucket up first: the name is only allocated when
+            // the bucket is new, not on every append.
             let mut crcs = self.crcs.lock();
-            let state = crcs.entry(name.to_string()).or_insert_with(checksum::begin);
-            *state = checksum::update(*state, data);
+            match crcs.get_mut(name) {
+                Some(state) => *state = checksum::update(*state, data),
+                None => {
+                    crcs.insert(name.to_string(), checksum::update(checksum::begin(), data));
+                }
+            }
         }
         match self.kind {
             ScratchKind::Memory => {
-                self.mem
-                    .lock()
-                    .entry(name.to_string())
-                    .or_default()
-                    .extend_from_slice(data);
+                let mut mem = self.mem.lock();
+                match mem.get_mut(name) {
+                    Some(bucket) => bucket.extend_from_slice(data),
+                    None => {
+                        mem.insert(name.to_string(), data.to_vec());
+                    }
+                }
                 Ok(())
             }
             ScratchKind::TempFile => {
@@ -273,7 +281,7 @@ impl Scratch {
         checksum::verify(
             self.bucket_crc(name),
             bytes,
-            &format!("scratch bucket {name}"),
+            format_args!("scratch bucket {name}"),
         )
     }
 

@@ -448,7 +448,7 @@ fn send_with_recovery(
         }
         if let Some((i, b, (off, mask))) = damage {
             let (_, bytes, crc) = &mut batch.buckets[i];
-            if let Err(e) = checksum::verify(*crc, bytes, &format!("frame bucket {b}")) {
+            if let Err(e) = checksum::verify(*crc, bytes, format_args!("frame bucket {b}")) {
                 corruptions += 1;
                 injector.events().emit(names::CORRUPTION_DETECTED, || {
                     vec![
@@ -681,7 +681,11 @@ pub fn grace_hash_join(
                             // Defense in depth: the sender's link layer
                             // already verified the frame, so a mismatch
                             // here is a real bug, not a transient.
-                            checksum::verify(crc, &bytes, &format!("received bucket {prefix}{b}"))?;
+                            checksum::verify(
+                                crc,
+                                &bytes,
+                                format_args!("received bucket {prefix}{b}"),
+                            )?;
                             stats.scratch_retries += scratch_append_with_recovery(
                                 scratch,
                                 &format!("{prefix}{b}"),

@@ -161,18 +161,63 @@ pub fn scan_chunks(
     Ok((schema, rows, runs))
 }
 
-/// CRC32C over a canonical encoding of `rows`, sealed shard-side on every
-/// federated sub-response and re-verified at the router, so a corrupted
-/// partial result is rejected (and hedged/failed over) instead of merged.
+/// CRC32C over a canonical binary encoding of `rows`, sealed shard-side
+/// on every federated sub-response and re-verified at the router, so a
+/// corrupted partial result is rejected (and hedged/failed over) instead
+/// of merged.
+///
+/// Each row encodes as its arity (little-endian `u32`), then per value a
+/// 1-byte type tag and 8 little-endian bytes: integers sign-extended,
+/// floats as raw `to_bits()`, so every NaN payload and the sign of zero
+/// are covered. The encoding streams through a fixed-size buffer, so the
+/// fingerprint's memory does not grow with the result. It is only ever
+/// computed and checked within one process; nothing persists it.
 pub fn rows_checksum(rows: &[Record]) -> u32 {
-    use std::fmt::Write as _;
-    let mut buf = String::new();
+    let mut fp = Fingerprint {
+        buf: [0; FINGERPRINT_BUF],
+        len: 0,
+        state: orv_cluster::checksum::begin(),
+    };
     for r in rows {
-        // Debug form is canonical here: every Value variant renders
-        // distinctly and deterministically.
-        let _ = write!(buf, "{r:?};");
+        fp.put((r.arity() as u32).to_le_bytes());
+        for &v in r.values() {
+            let (tag, bits) = match v {
+                Value::I32(x) => (0u8, x as i64 as u64),
+                Value::I64(x) => (1, x as u64),
+                Value::F32(x) => (2, u64::from(x.to_bits())),
+                Value::F64(x) => (3, x.to_bits()),
+            };
+            let b = bits.to_le_bytes();
+            fp.put([tag, b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        }
     }
-    orv_cluster::crc32c(buf.as_bytes())
+    fp.flush();
+    orv_cluster::checksum::finish(fp.state)
+}
+
+const FINGERPRINT_BUF: usize = 1024;
+
+/// [`rows_checksum`]'s staging buffer, flushed into the running CRC.
+struct Fingerprint {
+    buf: [u8; FINGERPRINT_BUF],
+    len: usize,
+    state: u32,
+}
+
+impl Fingerprint {
+    #[inline]
+    fn put<const N: usize>(&mut self, bytes: [u8; N]) {
+        if self.len + N > FINGERPRINT_BUF {
+            self.flush();
+        }
+        self.buf[self.len..self.len + N].copy_from_slice(&bytes);
+        self.len += N;
+    }
+
+    fn flush(&mut self) {
+        self.state = orv_cluster::checksum::update(self.state, &self.buf[..self.len]);
+        self.len = 0;
+    }
 }
 
 /// Column names of a schema.
@@ -625,6 +670,40 @@ mod tests {
         assert_eq!(rows_checksum(&rows), rows_checksum(&oracle));
         assert_ne!(rows_checksum(&rows), rows_checksum(&rows[1..]));
         assert_eq!(rows_checksum(&[]), rows_checksum(&[]));
+    }
+
+    #[test]
+    fn rows_checksum_separates_what_debug_text_conflated() {
+        let rec = |vals: &[Value]| Record::new(vals.to_vec());
+        let one = |v: Value| vec![rec(&[v])];
+        let (a, b, c) = (Value::I32(1), Value::I32(2), Value::I32(3));
+        let nan_a = f64::from_bits(0x7FF8_0000_0000_0001);
+        let nan_b = f64::from_bits(0x7FF8_0000_0000_0002);
+        assert!(nan_a.is_nan() && nan_b.is_nan());
+        let pairs = [
+            (
+                one(Value::F64(nan_a)),
+                one(Value::F64(nan_b)),
+                "NaN payloads",
+            ),
+            (one(Value::F64(-0.0)), one(Value::F64(0.0)), "signed zero"),
+            (one(Value::I32(1)), one(Value::I64(1)), "I32 vs I64"),
+            (one(Value::F32(1.0)), one(Value::F64(1.0)), "F32 vs F64"),
+            (
+                vec![rec(&[a, b]), rec(&[c])],
+                vec![rec(&[a]), rec(&[b, c])],
+                "row boundaries",
+            ),
+        ];
+        for (x, y, what) in pairs {
+            assert_ne!(rows_checksum(&x), rows_checksum(&y), "{what}");
+        }
+        // Results far larger than the staging buffer still fingerprint
+        // every row: a change in the last one is seen.
+        let mut many: Vec<Record> = (0..1000).map(|i| rec(&[Value::I64(i), a])).collect();
+        let sealed = rows_checksum(&many);
+        many[999] = rec(&[Value::I64(999), b]);
+        assert_ne!(rows_checksum(&many), sealed);
     }
 
     #[test]
