@@ -188,7 +188,19 @@ impl CompiledLayout {
                 )));
             }
         }
-        let mut out = vec![0u8; self.header_len + nrows * self.stride];
+        // A layout with a huge `pad` compiles, so the chunk size is
+        // checked here: an overflow is a typed error, not a wrapped length.
+        let overflow = || {
+            Error::Format(format!(
+                "layout `{}` chunk of {nrows} records overflows usize",
+                self.name
+            ))
+        };
+        let len = nrows
+            .checked_mul(self.stride)
+            .and_then(|body| body.checked_add(self.header_len))
+            .ok_or_else(overflow)?;
+        let mut out = vec![0u8; len];
         let body_start = self.header_len;
         match self.order {
             RecordOrder::RowMajor => {
@@ -208,7 +220,10 @@ impl CompiledLayout {
                             write_value(cols[ci][r], &mut out[at..], self.endian);
                         }
                     }
-                    block_start += size * nrows;
+                    block_start = size
+                        .checked_mul(nrows)
+                        .and_then(|block| block_start.checked_add(block))
+                        .ok_or_else(overflow)?;
                 }
             }
         }
@@ -342,6 +357,18 @@ mod tests {
         let bytes = c.encode(&cols).unwrap();
         assert_eq!(bytes.len(), 2 * (4 + 2 + 4));
         assert_eq!(c.decode(&bytes).unwrap(), cols);
+    }
+
+    #[test]
+    fn overflowing_chunk_size_is_a_format_error() {
+        // The stride (2^63 + 3) fits, but three records of it do not.
+        for order in ["", "order column_major; "] {
+            let src = format!("layout t {{ {order}pad 9223372036854775807; field x: i32; }}");
+            let c = CompiledLayout::compile(&parse_layout(&src).unwrap()).unwrap();
+            let cols = vec![vec![Value::I32(1), Value::I32(2), Value::I32(3)]];
+            let err = c.encode(&cols).unwrap_err();
+            assert!(matches!(err, Error::Format(_)), "{order}{err}");
+        }
     }
 
     #[test]

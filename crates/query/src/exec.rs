@@ -250,39 +250,89 @@ pub(crate) fn select_tail(
     order_and_limit(rowset, &query.order_by, query.limit)
 }
 
-/// Sort by output columns (stable; `(name, descending)` pairs applied in
-/// order) and truncate to `limit`.
+/// Resolve ORDER BY `(name, descending)` pairs to `(column index,
+/// descending)`.
+fn order_columns(columns: &[String], order_by: &[(String, bool)]) -> Result<Vec<(usize, bool)>> {
+    order_by
+        .iter()
+        .map(|(name, desc)| {
+            columns
+                .iter()
+                .position(|c| c == name)
+                .map(|i| (i, *desc))
+                .ok_or_else(|| Error::Plan(format!("unknown ORDER BY column `{name}`")))
+        })
+        .collect()
+}
+
+/// A `u128` whose unsigned order is exactly [`Value`]'s `Ord`. Bit 64
+/// is the family (ints before floats). The low 64 bits order the value
+/// within it: an integer with its sign bit flipped, or a float's
+/// total-order bits, taken after the NaN and signed-zero normalization
+/// of [`Value::key_bits`] so that every NaN ties and `-0.0` ties `0.0`.
+#[inline]
+fn order_key(v: Value) -> u128 {
+    const SIGN: u64 = 1 << 63;
+    let bits = v.key_bits();
+    let (family, within) = match v {
+        Value::I32(_) | Value::I64(_) => (0u128, bits ^ SIGN),
+        Value::F32(_) | Value::F64(_) if bits & SIGN != 0 => (1, !bits),
+        Value::F32(_) | Value::F64(_) => (1, bits | SIGN),
+    };
+    family << 64 | u128::from(within)
+}
+
+/// Sort by output columns (`(name, descending)` pairs applied in order;
+/// ties keep input order) and truncate to `limit`.
+///
+/// Each row's ORDER BY values become `u128` keys ([`order_key`], bitwise
+/// NOT for DESC) in one contiguous array, and a vector of row indices is
+/// argsorted on (keys, index) — so the result is exactly a stable sort's.
+/// Under `LIMIT k` with fewer than all rows kept, a selection first
+/// narrows the indices to the k smallest, and only those are sorted and
+/// moved out.
 pub fn order_and_limit(
     mut rowset: RowSet,
     order_by: &[(String, bool)],
     limit: Option<usize>,
 ) -> Result<RowSet> {
-    if !order_by.is_empty() {
-        let keys: Vec<(usize, bool)> = order_by
-            .iter()
-            .map(|(name, desc)| {
-                rowset
-                    .columns
-                    .iter()
-                    .position(|c| c == name)
-                    .map(|i| (i, *desc))
-                    .ok_or_else(|| Error::Plan(format!("unknown ORDER BY column `{name}`")))
-            })
-            .collect::<Result<_>>()?;
-        rowset.rows.sort_by(|a, b| {
-            for &(i, desc) in &keys {
-                let ord = a.get(i).cmp(&b.get(i));
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
+    let cols = order_columns(&rowset.columns, order_by)?;
+    let n = rowset.rows.len();
+    let k = limit.map_or(n, |l| l.min(n));
+    if cols.is_empty() || k == 0 {
+        rowset.rows.truncate(k);
+        return Ok(rowset);
+    }
+    let rows = u32::try_from(n)
+        .map_err(|_| Error::Plan(format!("ORDER BY over {n} rows; the limit is {}", u32::MAX)))?;
+    let width = cols.len();
+    let mut keys = Vec::with_capacity(n * width);
+    for row in &rowset.rows {
+        keys.extend(cols.iter().map(|&(i, desc)| {
+            let key = order_key(row.get(i));
+            if desc {
+                !key
+            } else {
+                key
             }
-            std::cmp::Ordering::Equal
-        });
+        }));
     }
-    if let Some(n) = limit {
-        rowset.rows.truncate(n);
+    let key_of = |r: u32| {
+        let start = r as usize * width;
+        &keys[start..start + width]
+    };
+    let cmp = |a: &u32, b: &u32| key_of(*a).cmp(key_of(*b)).then(a.cmp(b));
+    let mut order: Vec<u32> = (0..rows).collect();
+    if k < n {
+        order.select_nth_unstable_by(k - 1, cmp);
+        order.truncate(k);
     }
+    order.sort_unstable_by(cmp);
+    let mut all = std::mem::take(&mut rowset.rows);
+    rowset.rows = order
+        .into_iter()
+        .map(|r| std::mem::replace(&mut all[r as usize], Record::new(Vec::new())))
+        .collect();
     Ok(rowset)
 }
 
@@ -704,6 +754,212 @@ mod tests {
         let sealed = rows_checksum(&many);
         many[999] = rec(&[Value::I64(999), b]);
         assert_ne!(rows_checksum(&many), sealed);
+    }
+
+    /// The previous `order_and_limit`, kept as the ordering oracle: a
+    /// stable comparison sort on `Value::cmp`, then truncation.
+    fn order_and_limit_reference(
+        mut rowset: RowSet,
+        order_by: &[(String, bool)],
+        limit: Option<usize>,
+    ) -> Result<RowSet> {
+        if !order_by.is_empty() {
+            let keys = order_columns(&rowset.columns, order_by)?;
+            rowset.rows.sort_by(|a, b| {
+                for &(i, desc) in &keys {
+                    let ord = a.get(i).cmp(&b.get(i));
+                    let ord = if desc { ord.reverse() } else { ord };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+        if let Some(n) = limit {
+            rowset.rows.truncate(n);
+        }
+        Ok(rowset)
+    }
+
+    /// SplitMix64, so every ordering case is a pure function of a seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Values whose order is easy to get wrong: integer extremes, an
+    /// `I32` equal to an `I64`, NaN payloads of both signs, signed zeros,
+    /// infinities and subnormals, F32 beside F64.
+    fn value_zoo() -> Vec<Value> {
+        let nan = |bits: u64| Value::F64(f64::from_bits(bits));
+        vec![
+            Value::I64(i64::MIN),
+            Value::I64(i64::MIN + 1),
+            Value::I32(i32::MIN),
+            Value::I32(-1),
+            Value::I64(-1),
+            Value::I32(0),
+            Value::I64(0),
+            Value::I32(7),
+            Value::I64(7),
+            Value::I32(i32::MAX),
+            Value::I64(i64::MAX),
+            Value::F64(f64::NEG_INFINITY),
+            Value::F64(f64::MIN),
+            Value::F32(-1.5),
+            Value::F64(-1.5),
+            Value::F64(-f64::MIN_POSITIVE / 2.0),
+            Value::F64(-0.0),
+            Value::F32(-0.0),
+            Value::F64(0.0),
+            Value::F32(0.0),
+            Value::F64(f64::MIN_POSITIVE / 2.0),
+            Value::F32(f32::from_bits(1)),
+            Value::F64(f64::from_bits(1)),
+            Value::F32(1.5),
+            Value::F64(1.5),
+            Value::F64(f64::MAX),
+            Value::F32(f32::INFINITY),
+            Value::F64(f64::INFINITY),
+            nan(0x7FF8_0000_0000_0000),
+            nan(0x7FF8_0000_0000_0001),
+            nan(0xFFF8_0000_0000_0002),
+            nan(0x7FF0_0000_0000_0001),
+            Value::F32(f32::NAN),
+            Value::F32(f32::from_bits(0xFFC0_0001)),
+        ]
+    }
+
+    #[test]
+    fn order_key_compares_like_value_cmp() {
+        let zoo = value_zoo();
+        for &a in &zoo {
+            for &b in &zoo {
+                assert_eq!(order_key(a).cmp(&order_key(b)), a.cmp(&b), "{a:?} vs {b:?}");
+                assert_eq!((!order_key(a)).cmp(&!order_key(b)), b.cmp(&a));
+            }
+        }
+    }
+
+    /// One random ordering case: rows with many ties, columns that mix
+    /// `I32` with `I64` and `F32` with `F64` (some drawn from the zoo),
+    /// multi-key ASC/DESC orders and every interesting LIMIT. The kernel
+    /// must return exactly the reference's rows, bit for bit.
+    fn ordering_case(seed: u64) {
+        let mut rng = Rng(seed);
+        let zoo = value_zoo();
+        let ncols = 1 + rng.below(4);
+        let n = rng.below(300);
+        let columns: Vec<String> = (0..ncols).map(|c| format!("c{c}")).collect();
+        // Per column: a small tie-heavy domain, ints or floats or the zoo.
+        let kinds: Vec<usize> = (0..ncols).map(|_| rng.below(3)).collect();
+        let rows: Vec<Record> = (0..n)
+            .map(|_| {
+                let vals = kinds
+                    .iter()
+                    .map(|&kind| {
+                        let small = rng.below(5) as i32 - 2;
+                        match (kind, rng.below(2)) {
+                            (0, 0) => Value::I32(small),
+                            (0, _) => Value::I64(i64::from(small)),
+                            (1, 0) => Value::F32(small as f32 / 2.0),
+                            (1, _) => Value::F64(f64::from(small) / 2.0),
+                            _ => zoo[rng.below(zoo.len())],
+                        }
+                    })
+                    .collect();
+                Record::new(vals)
+            })
+            .collect();
+        let nkeys = 1 + rng.below(ncols);
+        let order_by: Vec<(String, bool)> = (0..nkeys)
+            .map(|_| (columns[rng.below(ncols)].clone(), rng.below(2) == 1))
+            .collect();
+        let limits = [
+            None,
+            Some(0),
+            Some(1),
+            Some(1 + rng.below(n.max(1))),
+            Some(n),
+            Some(n + 1 + rng.below(10)),
+        ];
+        let bits = |rs: &RowSet| -> Vec<Vec<(u8, u64)>> {
+            rs.rows
+                .iter()
+                .map(|r| {
+                    r.values()
+                        .iter()
+                        .map(|&v| match v {
+                            Value::I32(x) => (0, x as u64),
+                            Value::I64(x) => (1, x as u64),
+                            Value::F32(x) => (2, u64::from(x.to_bits())),
+                            Value::F64(x) => (3, x.to_bits()),
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        for limit in limits {
+            let rowset = RowSet {
+                columns: columns.clone(),
+                rows: rows.clone(),
+            };
+            let want = order_and_limit_reference(rowset.clone(), &order_by, limit).unwrap();
+            let got = order_and_limit(rowset, &order_by, limit).unwrap();
+            assert_eq!(got.columns, want.columns);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "seed {seed}, ORDER BY {order_by:?} LIMIT {limit:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random seeds: each case is a fresh table, order and limit set.
+        #[test]
+        fn order_and_limit_matches_reference(seed in 0u64..1 << 32) {
+            ordering_case(seed);
+        }
+    }
+
+    /// Deterministic heavy case for the CI matrix: seed from
+    /// `ORV_ORACLE_SEED` (default 42). Reproduce locally with
+    /// `ORV_ORACLE_SEED=<seed> cargo test -p orv-query --lib ordering_oracle_from_env`.
+    #[test]
+    fn ordering_oracle_from_env() {
+        let seed = std::env::var("ORV_ORACLE_SEED")
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or(42);
+        let mut rng = Rng(seed);
+        for _ in 0..200 {
+            ordering_case(rng.next());
+        }
+    }
+
+    #[test]
+    fn order_and_limit_rejects_unknown_column() {
+        let rowset = RowSet {
+            columns: vec!["a".into()],
+            rows: vec![Record::new(vec![Value::I32(1)])],
+        };
+        let err = order_and_limit(rowset, &[("b".into(), false)], Some(1)).unwrap_err();
+        assert!(err.to_string().contains("unknown ORDER BY column"));
     }
 
     #[test]

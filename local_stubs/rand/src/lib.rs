@@ -1,1 +1,2 @@
-//! Offline stand-in for `rand` (declared but unused in this workspace).
+//! Offline stand-in for `rand`. No crate depends on it; it stays because
+//! the benchmark package's `[patch.crates-io]` table names it.
